@@ -9,8 +9,10 @@ Layout mirrors MISCELA's four steps (paper §2.2):
 4. :mod:`repro.core.search`       — per-component CAP search with
    anti-monotone support pruning.
 
-:mod:`repro.core.miscela` wires the steps into one DataFrame pipeline;
-:mod:`repro.core.baseline` is the unpruned comparator used by Table 4.
+:mod:`repro.core.miscela` wires the steps into ``mine_caps``: steps 1–3a
+as Spark dataflow over the readings, steps 3b–4 on the driver over one
+row per sensor. Its ``prune_support`` / ``naive_spatial`` keywords give
+the unpruned comparators of Table 4.
 """
 from repro.core.types import CAP, MiscelaParams  # noqa: F401
 from repro.core.miscela import mine_caps  # noqa: F401

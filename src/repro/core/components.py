@@ -1,13 +1,9 @@
 """Step 3b of MISCELA: spatially connected sensor sets (paper §2.2
-step 3) — connected components of the η-neighbor graph.
+step 3) — connected components of the sensor graph.
 
-Implemented as iterative minimum-label propagation over DataFrames:
-every sensor starts labeled with itself; each round, a sensor adopts the
-smallest label among itself and its neighbors; converged when no label
-changes. ``localCheckpoint`` truncates lineage each round so the plan
-does not grow exponentially — the standard Catalyst idiom for iterative
-graph algorithms without GraphFrames (which needs Maven, unavailable
-offline).
+The graph is per sensor, not per reading (at most ~10k nodes at paper
+scale), so it is collected to the driver and labeled by union-find in
+near-linear time, whatever its diameter.
 
 Isolated sensors (no neighbor within η) form singleton components; CAPs
 need ≥ 2 sensors so singletons are dropped by the search, but they are
@@ -15,65 +11,46 @@ kept here because the map view still renders them.
 """
 from __future__ import annotations
 
+from typing import Iterable
+
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 
-def connected_components(
-    sensors: DataFrame, edges: DataFrame, max_iterations: int = 50
-) -> DataFrame:
-    """Label every sensor with its component id.
+def component_labels(
+    sensors: Iterable[str], edges: Iterable[tuple[str, str]]
+) -> dict[str, str]:
+    """Label every sensor with the smallest sensor_id of its component.
 
-    Parameters
-    ----------
-    sensors:
-        DataFrame with a ``sensor_id`` column (one row per sensor).
-    edges:
-        Undirected edges ``(src, dst)`` (``dist_m`` ignored if present).
-    max_iterations:
-        Hard cap on propagation rounds; the algorithm needs at most the
-        graph diameter, and raises if the cap is hit before convergence
-        (a silent partial labeling would corrupt every downstream step).
-
-    Returns ``(sensor_id, component)`` where ``component`` is the
-    lexicographically smallest sensor_id in the component.
+    ``edges`` are undirected ``(src, dst)`` pairs; an endpoint missing
+    from ``sensors`` is labeled too.
     """
-    sym = (
-        edges.select(F.col("src").alias("a"), F.col("dst").alias("b"))
-        .union(edges.select(F.col("dst").alias("a"), F.col("src").alias("b")))
-        .distinct()
-        .localCheckpoint()
-    )
-    labels = sensors.select(
-        "sensor_id", F.col("sensor_id").alias("component")
-    ).localCheckpoint()
+    parent: dict[str, str] = {s: s for s in sensors}
 
-    for _ in range(max_iterations):
-        neighbor_min = (
-            sym.join(labels, sym["b"] == labels["sensor_id"])
-            .groupBy(F.col("a").alias("sensor_id"))
-            .agg(F.min("component").alias("nbr_component"))
-        )
-        updated = (
-            labels.join(neighbor_min, on="sensor_id", how="left")
-            .select(
-                "sensor_id",
-                F.least(
-                    F.col("component"), F.coalesce("nbr_component", "component")
-                ).alias("component"),
-            )
-            .localCheckpoint()
-        )
-        changed = (
-            updated.alias("u")
-            .join(labels.alias("l"), on="sensor_id")
-            .where(F.col("u.component") != F.col("l.component"))
-            .limit(1)
-            .count()
-        )
-        labels = updated
-        if changed == 0:
-            return labels
-    raise RuntimeError(
-        f"connected_components did not converge in {max_iterations} iterations"
+    def find(x: str) -> str:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in edges:
+        parent.setdefault(a, a)
+        parent.setdefault(b, b)
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    return {s: find(s) for s in parent}
+
+
+def connected_components(sensors: DataFrame, edges: DataFrame) -> DataFrame:
+    """:func:`component_labels` over DataFrames.
+
+    ``sensors`` has a ``sensor_id`` column; ``edges`` has ``(src, dst)``
+    (other columns ignored). Returns ``(sensor_id, component)``.
+    """
+    labels = component_labels(
+        (r["sensor_id"] for r in sensors.select("sensor_id").collect()),
+        ((r["src"], r["dst"]) for r in edges.select("src", "dst").collect()),
+    )
+    return sensors.sparkSession.createDataFrame(
+        sorted(labels.items()), "sensor_id string, component string"
     )

@@ -1,11 +1,11 @@
 """MISCELA: the full 4-step CAP mining pipeline (paper §2.2).
 
-``mine_caps`` is the distributed entry point — pure DataFrame dataflow
-up to the per-component search, which runs on executors via cogrouped
-``applyInPandas`` (one task per spatially connected component).
-``mine_caps_local`` runs the identical kernel on the driver with full
-:class:`SearchStats` instrumentation for the efficiency comparison of
-Table 4; both paths share every stage, so tests pin them to each other.
+``mine_caps`` is the one mining entry point. Steps 1–3a touch every
+reading and run as Spark dataflow: segmentation, ε extraction, the
+η-neighbor join and the pair-support join. Steps 3b–4 touch one row
+per sensor (at most ~10k at paper scale), so the evolving timestamps,
+attributes and search edges are collected once and the components and
+the CAP search run on the driver, with full :class:`SearchStats`.
 
 Components are computed over the *co-evolving* η-edges (pairwise
 support ≥ ψ), which is sound and complete: inside any valid CAP every
@@ -16,13 +16,11 @@ straddle two co-evolving components (DESIGN.md §3).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
-import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from repro.core.components import connected_components
+from repro.core.components import component_labels
 from repro.core.coevolution import coevolving_edges
 from repro.core.evolving import active_sensors, extract_evolving
 from repro.core.search import search_component
@@ -30,27 +28,10 @@ from repro.core.segmentation import smooth_readings
 from repro.core.spatial import neighbor_edges
 from repro.core.types import CAP, MiscelaParams, SearchStats
 
-CAPS_SCHEMA = "component string, sensors string, attributes string, support long, size long"
-
-
-@dataclass
-class MiningArtifacts:
-    """Intermediate relations of one mining run, exposed so the API
-    layer can answer the demo's interactive queries (correlated-sensor
-    highlight, time-series view) without recomputing."""
-
-    smoothed: DataFrame
-    evolving: DataFrame
-    edges: DataFrame
-    coev_edges: DataFrame
-    components: DataFrame
-    caps: DataFrame
-    timings: dict = field(default_factory=dict)
-
 
 def caps_to_rows(caps: list[CAP]) -> list[dict]:
-    """CAP list → rows matching :data:`CAPS_SCHEMA` (lists are joined
-    with ',' so every column stays scalar/orderable for the oracle)."""
+    """CAP list → flat rows (lists are joined with ',' so every column
+    stays scalar and orderable)."""
     return [
         {
             "component": c.component,
@@ -63,57 +44,15 @@ def caps_to_rows(caps: list[CAP]) -> list[dict]:
     ]
 
 
-def rows_to_caps(rows) -> list[CAP]:
-    """Inverse of :func:`caps_to_rows`; accepts Spark Rows or dicts."""
-    out = []
-    for r in rows:
-        d = r.asDict() if hasattr(r, "asDict") else dict(r)
-        out.append(
-            CAP(
-                sensors=tuple(d["sensors"].split(",")),
-                attributes=tuple(d["attributes"].split(",")),
-                support=int(d["support"]),
-                component=d["component"],
-            )
-        )
-    return out
-
-
-def _prepare(
-    readings: DataFrame, locations: DataFrame, params: MiscelaParams
-) -> tuple[DataFrame, DataFrame, DataFrame, DataFrame, dict]:
-    """Steps 1–3 shared by both entry points.
-
-    Returns (smoothed, evolving, η-edges, co-evolving edges, timings).
-    Caches `evolving` — it feeds the pair-support join, the component
-    labeling, and the search payload.
-    """
-    timings: dict = {}
-    t0 = time.perf_counter()
-    smoothed = smooth_readings(readings, params.segment_tolerance)
-    evolving = extract_evolving(smoothed, params.epsilon).cache()
-    evolving.count()  # materialize once; three consumers follow
-    timings["segment_and_extract_s"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    active = active_sensors(evolving, params.psi)
-    live_locations = locations.join(active, on="sensor_id")
-    edges = neighbor_edges(live_locations, params.eta_meters).cache()
-    coev = coevolving_edges(
-        evolving, edges, params.psi, same_direction=params.same_direction
-    ).cache()
-    coev.count()
-    timings["spatial_join_s"] = time.perf_counter() - t0
-    return smoothed, evolving, edges, coev, timings
-
-
 def mine_caps(
     spark: SparkSession,
     readings: DataFrame,
     locations: DataFrame,
     params: MiscelaParams,
-) -> MiningArtifacts:
-    """Distributed CAP mining.
+    prune_support: bool = True,
+    naive_spatial: bool = False,
+) -> tuple[list[CAP], SearchStats, dict]:
+    """Mine every CAP of ``readings``.
 
     Parameters
     ----------
@@ -122,169 +61,81 @@ def mine_caps(
         synchronized measurements (nulls allowed).
     locations:
         ``(sensor_id, attribute, lat, lon)`` — one row per sensor.
+    prune_support:
+        False runs the Table-4 baseline: no anti-monotone pruning.
+    naive_spatial:
+        True searches the raw η-neighbor graph instead of the
+        co-evolving edges — with ``prune_support=False``, the fully
+        naive comparator. The CAP set is identical either way.
 
-    The per-component search runs as a cogrouped ``applyInPandas`` over
-    (sensor payloads, co-evolving edges) keyed by component id.
+    Returns (CAPs, merged search stats, timings). The timings hold the
+    wall seconds of each stage (``search_s`` is the kernel alone) and
+    ``n_search_edges``, the edge count of the searched graph.
     """
-    smoothed, evolving, edges, coev, timings = _prepare(readings, locations, params)
-
+    timings: dict = {}
     t0 = time.perf_counter()
-    nodes = (
-        coev.select(F.col("src").alias("sensor_id"))
-        .union(coev.select(F.col("dst").alias("sensor_id")))
-        .distinct()
-    )
-    components = connected_components(nodes, coev).cache()
+    smoothed = smooth_readings(readings, params.segment_tolerance)
+    evolving = extract_evolving(smoothed, params.epsilon).cache()
+    try:
+        evolving.count()  # materialize once; three consumers follow
+        timings["segment_and_extract_s"] = time.perf_counter() - t0
 
-    # Per-sensor search payload: attribute + evolving timestamps split
-    # by direction, tagged with the component id.
-    payload = (
-        evolving.groupBy("sensor_id")
-        .agg(
-            F.sort_array(
-                F.collect_list(F.when(F.col("direction") == 1, F.col("t")))
-            ).alias("epos"),
-            F.sort_array(
-                F.collect_list(F.when(F.col("direction") == -1, F.col("t")))
-            ).alias("eneg"),
-        )
-        .join(locations.select("sensor_id", "attribute"), on="sensor_id")
-        .join(components, on="sensor_id")
-    )
-    # toDF re-aliases every column (fresh exprIds) so the cogroup below
-    # does not trip Catalyst's ambiguous-self-join check — both cogroup
-    # sides descend from `components`.
-    comp_edges = coev.join(
-        components.toDF("src", "component"), on="src"
-    ).select("component", "src", "dst")
+        t0 = time.perf_counter()
+        live_locations = locations.join(active_sensors(evolving, params.psi), on="sensor_id")
+        search_edges = neighbor_edges(live_locations, params.eta_meters)
+        if not naive_spatial:
+            search_edges = coevolving_edges(
+                evolving, search_edges, params.psi, same_direction=params.same_direction
+            )
+        edges = [(r["src"], r["dst"]) for r in search_edges.select("src", "dst").collect()]
+        timings["spatial_join_s"] = time.perf_counter() - t0
 
-    params_dict = {
-        "epsilon": params.epsilon,
-        "eta_meters": params.eta_meters,
-        "mu": params.mu,
-        "psi": params.psi,
-        "segment_tolerance": params.segment_tolerance,
-        "max_sensors": params.max_sensors,
-        "same_direction": params.same_direction,
-    }
-
-    def _search(key, sensors_pdf: pd.DataFrame, edges_pdf: pd.DataFrame) -> pd.DataFrame:
-        p = MiscelaParams(**params_dict)
-        attributes = dict(zip(sensors_pdf["sensor_id"], sensors_pdf["attribute"]))
-        epos = {
-            s: frozenset(int(t) for t in ts)
-            for s, ts in zip(sensors_pdf["sensor_id"], sensors_pdf["epos"])
-        }
-        eneg = {
-            s: frozenset(int(t) for t in ts)
-            for s, ts in zip(sensors_pdf["sensor_id"], sensors_pdf["eneg"])
-        }
-        adjacency: dict[str, set] = {s: set() for s in attributes}
-        for src, dst in zip(edges_pdf["src"], edges_pdf["dst"]):
-            adjacency.setdefault(src, set()).add(dst)
-            adjacency.setdefault(dst, set()).add(src)
-        caps, _ = search_component(
-            attributes, adjacency, epos, eneg, p, component=str(key[0])
-        )
-        return pd.DataFrame(
-            caps_to_rows(caps),
-            columns=["component", "sensors", "attributes", "support", "size"],
-        )
-
-    caps_df = (
-        payload.groupBy("component")
-        .cogroup(comp_edges.groupBy("component"))
-        .applyInPandas(_search, schema=CAPS_SCHEMA)
-    ).cache()
-    caps_df.count()
-    timings["search_s"] = time.perf_counter() - t0
-
-    return MiningArtifacts(
-        smoothed=smoothed,
-        evolving=evolving,
-        edges=edges,
-        coev_edges=coev,
-        components=components,
-        caps=caps_df,
-        timings=timings,
-    )
-
-
-def mine_caps_local(
-    spark: SparkSession,
-    readings: DataFrame,
-    locations: DataFrame,
-    params: MiscelaParams,
-    prune_support: bool = True,
-    eta_adjacency_for_baseline: bool = False,
-) -> tuple[list[CAP], SearchStats, dict]:
-    """Steps 1–3 distributed, step 4 on the driver with instrumentation.
-
-    ``prune_support=False`` runs the Table-4 baseline (no anti-monotone
-    pruning); with ``eta_adjacency_for_baseline=True`` the baseline also
-    skips the co-evolving-edge restriction, i.e. it searches the raw
-    η-neighbor graph — the fully naive comparator.
-    """
-    smoothed, evolving, edges, coev, timings = _prepare(readings, locations, params)
-    search_edges = edges if eta_adjacency_for_baseline else coev
-
-    t0 = time.perf_counter()  # collect phase — reported separately so
-    epos: dict[str, frozenset] = {}  # search_s isolates the kernel
-    eneg: dict[str, frozenset] = {}
-    for row in (
-        evolving.groupBy("sensor_id")
-        .agg(
-            F.collect_list(F.when(F.col("direction") == 1, F.col("t"))).alias("p"),
-            F.collect_list(F.when(F.col("direction") == -1, F.col("t"))).alias("m"),
-        )
-        .collect()
-    ):
-        epos[row["sensor_id"]] = frozenset(int(t) for t in row["p"])
-        eneg[row["sensor_id"]] = frozenset(int(t) for t in row["m"])
-    attr = {
+        t0 = time.perf_counter()
+        epos: dict[str, frozenset] = {}
+        eneg: dict[str, frozenset] = {}
+        for row in (
+            evolving.groupBy("sensor_id")
+            .agg(
+                F.collect_list(F.when(F.col("direction") == 1, F.col("t"))).alias("p"),
+                F.collect_list(F.when(F.col("direction") == -1, F.col("t"))).alias("m"),
+            )
+            .collect()
+        ):
+            epos[row["sensor_id"]] = frozenset(row["p"])
+            eneg[row["sensor_id"]] = frozenset(row["m"])
+    finally:
+        evolving.unpersist()
+    attribute = {
         r["sensor_id"]: r["attribute"]
         for r in locations.select("sensor_id", "attribute").collect()
     }
-
-    adjacency: dict[str, set] = {}
-    for r in search_edges.select("src", "dst").collect():
-        adjacency.setdefault(r["src"], set()).add(r["dst"])
-        adjacency.setdefault(r["dst"], set()).add(r["src"])
-
-    # Driver-side union-find over the collected edges (small: one entry
-    # per sensor, not per reading).
-    parent: dict[str, str] = {s: s for s in adjacency}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for s, nbrs in adjacency.items():
-        for w in nbrs:
-            ra, rb = find(s), find(w)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-    groups: dict[str, list[str]] = {}
-    for s in adjacency:
-        groups.setdefault(find(s), []).append(s)
+    adjacency: dict[str, set[str]] = {}
+    for a, b in edges:
+        adjacency.setdefault(a, set()).add(b)
+        adjacency.setdefault(b, set()).add(a)
+    members: dict[str, list[str]] = {}
+    for sensor, component in component_labels((), edges).items():
+        members.setdefault(component, []).append(sensor)
     timings["collect_s"] = time.perf_counter() - t0
+    timings["n_search_edges"] = len(edges)
 
     t0 = time.perf_counter()
-    all_caps: list[CAP] = []
+    caps: list[CAP] = []
     total = SearchStats()
-    for comp_id, members in sorted(groups.items()):
-        caps, stats = search_component(
-            {s: attr[s] for s in members if s in attr},
-            {s: adjacency.get(s, set()) for s in members},
-            {s: epos.get(s, frozenset()) for s in members},
-            {s: eneg.get(s, frozenset()) for s in members},
+    for component, sensors in sorted(members.items()):
+        found, stats = search_component(
+            {s: attribute[s] for s in sensors},
+            {s: adjacency[s] for s in sensors},
+            {s: epos.get(s, frozenset()) for s in sensors},
+            {s: eneg.get(s, frozenset()) for s in sensors},
             params,
-            component=comp_id,
+            component=component,
             prune_support=prune_support,
         )
-        all_caps.extend(caps)
+        caps.extend(found)
         total.merge(stats)
     timings["search_s"] = time.perf_counter() - t0
-    return all_caps, total, timings
+    return caps, total, timings
+
+
+mine_caps_local = mine_caps  # former name of the driver-side miner

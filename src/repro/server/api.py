@@ -22,8 +22,8 @@ from pathlib import Path
 
 from pyspark.sql import SparkSession
 
-from repro.core.miscela import mine_caps, rows_to_caps
-from repro.core.types import CAP, MiscelaParams
+from repro.core.miscela import mine_caps
+from repro.core.types import CAP, MiscelaParams, SearchStats
 from repro.smartcity.ingest import upload_csv_bundle
 from repro.store.cache import CapCache
 from repro.store.datasets import DatasetStore
@@ -31,7 +31,11 @@ from repro.store.datasets import DatasetStore
 
 @dataclass
 class MineResponse:
-    """What the front end receives from the mine endpoint."""
+    """What the front end receives from the mine endpoint.
+
+    ``stats`` and ``timings`` describe the mining run; a cache hit has
+    no run, so they are ``None`` and empty.
+    """
 
     dataset: str
     params: MiscelaParams
@@ -39,6 +43,7 @@ class MineResponse:
     from_cache: bool
     elapsed_s: float
     timings: dict = field(default_factory=dict)
+    stats: SearchStats | None = None
 
     @property
     def n_caps(self) -> int:
@@ -77,13 +82,12 @@ class MiscelaApi:
                 from_cache=True, elapsed_s=time.perf_counter() - t0,
             )
         readings, locations, _ = self.store.load(self.spark, dataset)
-        artifacts = mine_caps(self.spark, readings, locations, params)
-        caps = rows_to_caps(artifacts.caps.collect())
+        caps, stats, timings = mine_caps(self.spark, readings, locations, params)
         self.cache.put(dataset, params, caps)
         return MineResponse(
             dataset=dataset, params=params, caps=caps,
             from_cache=False, elapsed_s=time.perf_counter() - t0,
-            timings=artifacts.timings,
+            timings=timings, stats=stats,
         )
 
     # ---- map interaction --------------------------------------------

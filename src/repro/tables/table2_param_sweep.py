@@ -57,14 +57,14 @@ def run(
     for param, values in (sweeps or SWEEPS).items():
         for v in values:
             p = dataclasses.replace(base, **{param: v})
-            art = mine_caps(spark, readings, locations, p)
+            caps, _, timings = mine_caps(spark, readings, locations, p)
             rows.append(
                 {
                     "param": param,
                     "value": v,
-                    "n_caps": art.caps.count(),
-                    "n_coev_edges": art.coev_edges.count(),
-                    "search_s": round(art.timings["search_s"], 3),
+                    "n_caps": len(caps),
+                    "n_coev_edges": timings["n_search_edges"],
+                    "search_s": round(timings["search_s"], 3),
                 }
             )
     readings.unpersist()

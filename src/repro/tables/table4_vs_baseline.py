@@ -20,8 +20,7 @@ import dataclasses
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.core.baseline import mine_caps_baseline
-from repro.core.miscela import mine_caps_local
+from repro.core.miscela import mine_caps
 from repro.core.types import MiscelaParams
 from repro.smartcity import santander
 
@@ -46,10 +45,10 @@ def run(
     rows = []
     for psi in psis:
         p = dataclasses.replace(BASE, psi=psi)
-        fast, s_fast, t_fast = mine_caps_local(spark, readings, locations, p)
-        slow, s_slow, t_slow = mine_caps_baseline(spark, readings, locations, p)
-        naive, s_naive, t_naive = mine_caps_baseline(
-            spark, readings, locations, p, naive_spatial=True
+        fast, s_fast, t_fast = mine_caps(spark, readings, locations, p)
+        slow, s_slow, t_slow = mine_caps(spark, readings, locations, p, prune_support=False)
+        naive, s_naive, t_naive = mine_caps(
+            spark, readings, locations, p, prune_support=False, naive_spatial=True
         )
         assert {(c.sensors, c.support) for c in fast} \
             == {(c.sensors, c.support) for c in slow} \

@@ -16,7 +16,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from repro.core.miscela import mine_caps, rows_to_caps
+from repro.core.miscela import mine_caps
 from repro.core.types import MiscelaParams
 from repro.smartcity import covid19
 
@@ -59,8 +59,7 @@ def run(
         lv["period"] = name
         levels_rows.append(lv)
 
-        art = mine_caps(spark, readings, d.locations, params)
-        caps = rows_to_caps(art.caps.collect())
+        caps, _, _ = mine_caps(spark, readings, d.locations, params)
         patterns = sorted({",".join(c.attributes) for c in caps})
         caps_rows.append(
             {

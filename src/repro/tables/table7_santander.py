@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import pandas as pd
 from pyspark.sql import SparkSession
-from pyspark.sql import functions as F
 
-from repro.core.miscela import mine_caps
+from repro.core.miscela import caps_to_rows, mine_caps
 from repro.core.types import MiscelaParams
 from repro.smartcity import santander
 
@@ -31,16 +30,16 @@ def run(
     params: MiscelaParams = PARAMS,
 ) -> pd.DataFrame:
     d = santander(spark, scale=scale, seed=seed)
-    art = mine_caps(spark, d.readings, d.locations, params)
+    caps, _, _ = mine_caps(spark, d.readings, d.locations, params)
+    rows = pd.DataFrame(caps_to_rows(caps), columns=["attributes", "support", "size"])
     return (
-        art.caps.groupBy("attributes")
+        rows.groupby("attributes", as_index=False)
         .agg(
-            F.count("*").alias("n_caps"),
-            F.max("support").alias("max_support"),
-            F.max("size").alias("max_sensors"),
+            n_caps=("support", "size"),
+            max_support=("support", "max"),
+            max_sensors=("size", "max"),
         )
-        .orderBy(F.desc("n_caps"), "attributes")
-        .toPandas()
+        .sort_values(["n_caps", "attributes"], ascending=[False, True], ignore_index=True)
     )
 
 

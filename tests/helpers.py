@@ -89,20 +89,22 @@ def ref_neighbor_edges(locations_pdf: pd.DataFrame, eta_meters: float) -> set[tu
 
 
 def ref_components(sensors: list[str], edges: set[tuple[str, str]]) -> dict[str, str]:
-    """Union-find reference for the label-propagation components."""
-    parent = {s: s for s in sensors}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    """Breadth-first-search reference for the union-find components:
+    every sensor labeled with the smallest member of its component."""
+    adj: dict[str, set[str]] = {s: set() for s in sensors}
     for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    return {s: find(s) for s in sensors}
+        adj[a].add(b)
+        adj[b].add(a)
+    out: dict[str, str] = {}
+    for s in sensors:
+        if s in out:
+            continue
+        seen, frontier = {s}, [s]
+        while frontier:
+            frontier = [w for v in frontier for w in adj[v] if w not in seen]
+            seen.update(frontier)
+        out.update(dict.fromkeys(seen, min(seen)))
+    return out
 
 
 def ref_evolving(readings_pdf: pd.DataFrame, tolerance: float, epsilon: float) -> pd.DataFrame:

@@ -57,6 +57,18 @@ class TestMineEndpoint:
         r = api.mine("scene", PARAMS)
         assert r.from_cache and r.elapsed_s < 1.0
 
+    def test_cold_mine_reports_search_truncation(self, api):
+        # the triangle a1–a2–a3 cannot grow past two sensors
+        r = api.mine("scene", dataclasses.replace(PARAMS, max_sensors=2))
+        assert r.from_cache is False
+        assert r.stats.hit_max_sensors > 0
+        assert set(r.timings) >= {"collect_s", "search_s"}
+
+    def test_cache_hit_has_no_search_stats(self, api):
+        api.mine("scene", PARAMS)
+        r = api.mine("scene", PARAMS)
+        assert r.from_cache and r.stats is None and r.timings == {}
+
     def test_unknown_dataset_raises(self, api):
         with pytest.raises(KeyError):
             api.mine("ghost", PARAMS)

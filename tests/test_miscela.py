@@ -1,17 +1,11 @@
-"""Integration tests: the full 4-step pipeline, distributed vs local vs
-baseline agreement, and the planted-pattern ground truth of the scene."""
+"""Integration tests: the full 4-step pipeline, pruned vs unpruned vs
+naive agreement, and the planted-pattern ground truth of the scene."""
+import dataclasses
+
 import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
-from repro.core.baseline import mine_caps_baseline
-from repro.core.miscela import (
-    CAPS_SCHEMA,
-    caps_to_rows,
-    mine_caps,
-    mine_caps_local,
-    rows_to_caps,
-)
+from repro.core.miscela import caps_to_rows, mine_caps, mine_caps_local
 from repro.core.types import CAP, MiscelaParams
 from repro.oracle import assert_equivalent
 from tests.helpers import scene_spark
@@ -30,9 +24,13 @@ def _cap_set(caps):
     return {(c.sensors, c.attributes, c.support) for c in caps}
 
 
+def _persistent_rdds(spark) -> int:
+    return spark.sparkContext._jsc.getPersistentRDDs().size()
+
+
 class TestDistributedPipeline:
     def test_finds_exactly_the_planted_caps(self, spark, scene_mined):
-        got = _cap_set(rows_to_caps(scene_mined.caps.collect()))
+        got = _cap_set(scene_mined[0])
         # cluster A: three sensors, three attributes, all jump at the
         # same 4 ticks; every connected ≥2-attribute subset qualifies.
         # cluster B co-evolves only 3 ticks with ψ=3 → included.
@@ -46,75 +44,69 @@ class TestDistributedPipeline:
 
     def test_psi_four_drops_cluster_b(self, spark):
         readings, locations = scene_spark(spark)
-        import dataclasses
-
-        art = mine_caps(spark, readings, locations, dataclasses.replace(PARAMS, psi=4))
-        got = {tuple(r["sensors"].split(",")) for r in art.caps.collect()}
+        caps, _, _ = mine_caps(spark, readings, locations, dataclasses.replace(PARAMS, psi=4))
+        got = {c.sensors for c in caps}
         assert ("b1", "b2") not in got and ("a1", "a2") in got
 
     def test_caps_schema(self, spark, scene_mined):
-        assert scene_mined.caps.schema.simpleString() == (
-            "struct<component:string,sensors:string,attributes:string,support:bigint,size:bigint>"
-        )
+        rows = pd.DataFrame(caps_to_rows(scene_mined[0]))
+        assert list(rows.columns) == ["component", "sensors", "attributes", "support", "size"]
+        assert [str(t) for t in rows.dtypes] == ["object", "object", "object", "int64", "int64"]
 
     def test_component_labels_consistent(self, spark, scene_mined):
-        rows = scene_mined.caps.collect()
-        for r in rows:
-            assert r["component"] in ("a1", "b1")
-            assert r["sensors"].split(",")[0].startswith(r["component"][0])
+        for c in scene_mined[0]:
+            assert c.component in ("a1", "b1")
+            assert c.sensors[0].startswith(c.component[0])
 
     def test_size_column_matches_sensor_count(self, spark, scene_mined):
-        for r in scene_mined.caps.collect():
+        for r in caps_to_rows(scene_mined[0]):
             assert r["size"] == len(r["sensors"].split(","))
 
     def test_artifacts_expose_intermediates(self, spark, scene_mined):
-        # a1,a2,a3 → 4 each = 12; b1,b2 → 3 each = 6; c1 → 1 ⇒ 19 rows
-        assert scene_mined.evolving.count() == 19
-        assert scene_mined.edges.count() == 4  # A triangle + B pair
-        assert set(scene_mined.timings) >= {"segment_and_extract_s", "spatial_join_s", "search_s"}
+        caps, stats, timings = scene_mined
+        assert stats.emitted == len(caps)
+        assert timings["n_search_edges"] == 4  # A triangle + B pair
+        assert set(timings) >= {"segment_and_extract_s", "spatial_join_s", "collect_s", "search_s"}
 
     def test_oracle_cap_count_by_size(self, spark, scene_mined):
-        got = scene_mined.caps.groupBy("size").agg(F.count("*").alias("n"))
+        caps = spark.createDataFrame(pd.DataFrame(caps_to_rows(scene_mined[0])))
         assert_equivalent(
-            got,
+            caps.groupBy("size").count().withColumnRenamed("count", "n"),
             "SELECT size, count(*) AS n FROM caps GROUP BY size",
-            caps=scene_mined.caps,
+            caps=caps,
         )
+
+    def test_releases_its_cached_data(self, spark):
+        readings, locations = scene_spark(spark)
+        before = _persistent_rdds(spark)
+        mine_caps(spark, readings, locations, PARAMS)
+        assert _persistent_rdds(spark) == before
 
 
 class TestLocalAndBaselineAgree:
     def test_local_matches_distributed(self, spark, scene_mined):
-        readings, locations = scene_spark(spark)
-        local, stats, _ = mine_caps_local(spark, readings, locations, PARAMS)
-        assert _cap_set(local) == _cap_set(rows_to_caps(scene_mined.caps.collect()))
-        assert stats.emitted == len(local)
+        # the former driver-side entry point is now the same function
+        assert mine_caps_local is mine_caps
 
     def test_baseline_matches_miscela(self, spark, scene_mined):
         readings, locations = scene_spark(spark)
-        base, _, _ = mine_caps_baseline(spark, readings, locations, PARAMS)
-        assert _cap_set(base) == _cap_set(rows_to_caps(scene_mined.caps.collect()))
+        base, _, _ = mine_caps(spark, readings, locations, PARAMS, prune_support=False)
+        assert _cap_set(base) == _cap_set(scene_mined[0])
 
     def test_naive_spatial_baseline_matches_too(self, spark, scene_mined):
         readings, locations = scene_spark(spark)
-        base, _, _ = mine_caps_baseline(spark, readings, locations, PARAMS, naive_spatial=True)
-        assert _cap_set(base) == _cap_set(rows_to_caps(scene_mined.caps.collect()))
+        base, _, _ = mine_caps(spark, readings, locations, PARAMS,
+                               prune_support=False, naive_spatial=True)
+        assert _cap_set(base) == _cap_set(scene_mined[0])
 
-    def test_miscela_never_does_more_support_work(self, spark):
+    def test_miscela_never_does_more_support_work(self, spark, scene_mined):
         readings, locations = scene_spark(spark)
-        _, s_fast, _ = mine_caps_local(spark, readings, locations, PARAMS)
-        _, s_slow, _ = mine_caps_baseline(spark, readings, locations, PARAMS, naive_spatial=True)
-        assert s_fast.nodes_expanded <= s_slow.nodes_expanded
+        _, s_slow, _ = mine_caps(spark, readings, locations, PARAMS,
+                                 prune_support=False, naive_spatial=True)
+        assert scene_mined[1].nodes_expanded <= s_slow.nodes_expanded
 
 
 class TestRowConversion:
-    def test_roundtrip(self):
-        caps = [CAP(("b", "a"), ("y", "x"), 5, component="a"),
-                CAP(("c", "d"), ("x", "z"), 2, component="c")]
-        rows = caps_to_rows(caps)
-        assert rows_to_caps(rows) == [
-            CAP(("a", "b"), ("x", "y"), 5, "a"), CAP(("c", "d"), ("x", "z"), 2, "c")
-        ]
-
     def test_rows_are_scalar_only(self):
         rows = caps_to_rows([CAP(("a", "b"), ("x", "y"), 5, "a")])
         assert rows[0] == {
@@ -133,11 +125,11 @@ class TestEmptyInputs:
             {"sensor_id": ["k", "l"], "attribute": ["x", "y"],
              "lat": [0.0, 0.0], "lon": [0.0, 0.0001]}
         )
-        art = mine_caps(
+        caps, stats, timings = mine_caps(
             spark,
             spark.createDataFrame(pdf, "sensor_id string, t long, value double"),
             spark.createDataFrame(loc, "sensor_id string, attribute string, lat double, lon double"),
             PARAMS,
         )
-        assert art.caps.count() == 0
-        assert art.caps.columns == ["component", "sensors", "attributes", "support", "size"]
+        assert caps == []
+        assert stats.nodes_expanded == 0 and timings["n_search_edges"] == 0
