@@ -43,11 +43,30 @@ def extract_evolving(smoothed: DataFrame, epsilon: float) -> DataFrame:
     )
 
 
+def evolving_sets(evolving: DataFrame) -> tuple[dict[str, frozenset], dict[str, frozenset]]:
+    """Each sensor's increasing and decreasing timestamps, collected to
+    the driver in one action: ``(epos, eneg)`` keyed by sensor_id.
+    Sensors that never evolve are absent from both."""
+    epos: dict[str, frozenset] = {}
+    eneg: dict[str, frozenset] = {}
+    for row in (
+        evolving.groupBy("sensor_id")
+        .agg(
+            F.collect_list(F.when(F.col("direction") == 1, F.col("t"))).alias("p"),
+            F.collect_list(F.when(F.col("direction") == -1, F.col("t"))).alias("m"),
+        )
+        .collect()
+    ):
+        epos[row["sensor_id"]] = frozenset(row["p"])
+        eneg[row["sensor_id"]] = frozenset(row["m"])
+    return epos, eneg
+
+
 def evolving_counts(evolving: DataFrame) -> DataFrame:
-    """Per-sensor evolving-timestamp counts ``(sensor_id, n_evolving)``
-    — used to drop never-evolving sensors before the spatial join (a
-    sensor with fewer than ψ evolving timestamps can never reach
-    support ψ, even alone)."""
+    """Per-sensor evolving-timestamp counts ``(sensor_id, n_evolving)``.
+    A sensor with fewer than ψ evolving timestamps can never reach
+    support ψ, even alone, so it can be dropped before the spatial step
+    (``mine_caps`` does the same on its collected sets)."""
     return evolving.groupBy("sensor_id").agg(F.count("*").alias("n_evolving"))
 
 

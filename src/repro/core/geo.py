@@ -1,14 +1,12 @@
-"""Geodesic helpers shared by the spatial join and the generators.
+"""Geodesic helpers shared by the η-neighbor sweep and the generators.
 
-Everything is vectorized numpy plus Spark `Column` variants of the same
-formulas, so the driver-side reference implementation used in tests and
-the distributed implementation cannot drift apart silently.
+Everything is vectorized numpy on a spherical Earth of radius
+``EARTH_RADIUS_M``; the neighbor sweep, the test oracle and the data
+generators all use these same formulas.
 """
 from __future__ import annotations
 
 import numpy as np
-from pyspark.sql import Column
-from pyspark.sql import functions as F
 
 EARTH_RADIUS_M = 6_371_000.0
 
@@ -24,27 +22,19 @@ def haversine_np(
     return 2.0 * EARTH_RADIUS_M * np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0)))
 
 
-def haversine_col(lat1: Column, lon1: Column, lat2: Column, lon2: Column) -> Column:
-    """Great-circle distance in meters as a Spark Column expression."""
-    p1, p2 = F.radians(lat1), F.radians(lat2)
-    dp = p2 - p1
-    dl = F.radians(lon2) - F.radians(lon1)
-    a = F.pow(F.sin(dp / 2.0), 2) + F.cos(p1) * F.cos(p2) * F.pow(F.sin(dl / 2.0), 2)
-    # clip guards rounding just past 1.0 for antipodal-ish inputs
-    return 2.0 * EARTH_RADIUS_M * F.asin(F.sqrt(F.least(a, F.lit(1.0))))
-
-
 def meters_to_lat_degrees(meters: float) -> float:
-    """Degrees of latitude spanning ``meters`` (latitude-independent)."""
+    """Degrees of latitude spanning ``meters`` (latitude-independent).
+
+    Also a lower bound on distance: two points whose latitudes differ
+    by at least ``meters_to_lat_degrees(d)`` are at least ``d`` apart.
+    """
     return meters / (EARTH_RADIUS_M * np.pi / 180.0)
 
 
 def meters_to_lon_degrees(meters: float, at_latitude: float) -> float:
-    """Degrees of longitude spanning ``meters`` at a given latitude.
-
-    Used for grid-cell widths; callers should use the *smallest*
-    |latitude| in the data so cells are never narrower than η.
-    """
+    """Degrees of longitude spanning ``meters`` along the parallel at
+    ``at_latitude`` — how the generators lay sensors out east–west at a
+    chosen spacing."""
     scale = np.cos(np.radians(at_latitude))
-    scale = max(scale, 1e-6)  # degenerate near the poles; cells just widen
+    scale = max(scale, 1e-6)  # degenerate near the poles; the span just grows
     return meters / (EARTH_RADIUS_M * np.pi / 180.0 * scale)

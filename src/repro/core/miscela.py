@@ -1,11 +1,13 @@
 """MISCELA: the full 4-step CAP mining pipeline (paper §2.2).
 
-``mine_caps`` is the one mining entry point. Steps 1–3a touch every
-reading and run as Spark dataflow: segmentation, ε extraction, the
-η-neighbor join and the pair-support join. Steps 3b–4 touch one row
-per sensor (at most ~10k at paper scale), so the evolving timestamps,
-attributes and search edges are collected once and the components and
-the CAP search run on the driver, with full :class:`SearchStats`.
+``mine_caps`` is the one mining entry point. Steps 1–2 touch every
+reading and run as Spark dataflow: segmentation and ε extraction, ending
+in one aggregation that collects each sensor's increasing and decreasing
+timestamps. Steps 3–4 touch one row per sensor (at most ~10k at paper
+scale), so they run on the driver over those sets and the collected
+locations: the η-neighbor sweep, pair supports as set intersections,
+union-find components and the CAP search, with full
+:class:`SearchStats`.
 
 Components are computed over the *co-evolving* η-edges (pairwise
 support ≥ ψ), which is sound and complete: inside any valid CAP every
@@ -18,14 +20,13 @@ from __future__ import annotations
 import time
 
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from repro.core.components import component_labels
-from repro.core.coevolution import coevolving_edges
-from repro.core.evolving import active_sensors, extract_evolving
+from repro.core.coevolution import pair_support_counts
+from repro.core.evolving import evolving_sets, extract_evolving
 from repro.core.search import search_component
 from repro.core.segmentation import smooth_readings
-from repro.core.spatial import neighbor_edges
+from repro.core.spatial import neighbor_pairs
 from repro.core.types import CAP, MiscelaParams, SearchStats
 
 
@@ -69,46 +70,38 @@ def mine_caps(
         naive comparator. The CAP set is identical either way.
 
     Returns (CAPs, merged search stats, timings). The timings hold the
-    wall seconds of each stage (``search_s`` is the kernel alone) and
-    ``n_search_edges``, the edge count of the searched graph.
+    wall seconds of each stage — ``segment_and_extract_s`` (Spark, up to
+    the collected evolving sets), ``collect_s`` (the locations),
+    ``spatial_join_s`` (η-neighbors, supports and components on the
+    driver), ``search_s`` (the kernel alone) — and ``n_search_edges``,
+    the edge count of the searched graph.
     """
     timings: dict = {}
     t0 = time.perf_counter()
     smoothed = smooth_readings(readings, params.segment_tolerance)
-    evolving = extract_evolving(smoothed, params.epsilon).cache()
-    try:
-        evolving.count()  # materialize once; three consumers follow
-        timings["segment_and_extract_s"] = time.perf_counter() - t0
+    epos, eneg = evolving_sets(extract_evolving(smoothed, params.epsilon))
+    timings["segment_and_extract_s"] = time.perf_counter() - t0
 
-        t0 = time.perf_counter()
-        live_locations = locations.join(active_sensors(evolving, params.psi), on="sensor_id")
-        search_edges = neighbor_edges(live_locations, params.eta_meters)
-        if not naive_spatial:
-            search_edges = coevolving_edges(
-                evolving, search_edges, params.psi, same_direction=params.same_direction
-            )
-        edges = [(r["src"], r["dst"]) for r in search_edges.select("src", "dst").collect()]
-        timings["spatial_join_s"] = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    sites = locations.select("sensor_id", "attribute", "lat", "lon").collect()
+    timings["collect_s"] = time.perf_counter() - t0
 
-        t0 = time.perf_counter()
-        epos: dict[str, frozenset] = {}
-        eneg: dict[str, frozenset] = {}
-        for row in (
-            evolving.groupBy("sensor_id")
-            .agg(
-                F.collect_list(F.when(F.col("direction") == 1, F.col("t"))).alias("p"),
-                F.collect_list(F.when(F.col("direction") == -1, F.col("t"))).alias("m"),
-            )
-            .collect()
-        ):
-            epos[row["sensor_id"]] = frozenset(row["p"])
-            eneg[row["sensor_id"]] = frozenset(row["m"])
-    finally:
-        evolving.unpersist()
-    attribute = {
-        r["sensor_id"]: r["attribute"]
-        for r in locations.select("sensor_id", "attribute").collect()
-    }
+    t0 = time.perf_counter()
+    attribute = {r["sensor_id"]: r["attribute"] for r in sites}
+    live = [
+        r for r in sites
+        if len(epos.get(r["sensor_id"], ())) + len(eneg.get(r["sensor_id"], ())) >= params.psi
+    ]
+    edges = [
+        (a, b)
+        for a, b, _ in neighbor_pairs(
+            [r["sensor_id"] for r in live], [r["lat"] for r in live],
+            [r["lon"] for r in live], params.eta_meters,
+        )
+    ]
+    if not naive_spatial:
+        supports = pair_support_counts(edges, epos, eneg, params.same_direction)
+        edges = [e for e, n in zip(edges, supports) if n >= params.psi]
     adjacency: dict[str, set[str]] = {}
     for a, b in edges:
         adjacency.setdefault(a, set()).add(b)
@@ -116,7 +109,7 @@ def mine_caps(
     members: dict[str, list[str]] = {}
     for sensor, component in component_labels((), edges).items():
         members.setdefault(component, []).append(sensor)
-    timings["collect_s"] = time.perf_counter() - t0
+    timings["spatial_join_s"] = time.perf_counter() - t0
     timings["n_search_edges"] = len(edges)
 
     t0 = time.perf_counter()

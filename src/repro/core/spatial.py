@@ -1,93 +1,76 @@
 """Step 3a of MISCELA: the η-neighbor graph (paper §2.1 "distance
 threshold η").
 
-Two sensors are neighbors iff their haversine distance is below η.
-Rather than an O(n²) cross join, sensors are bucketed into grid cells of
-side ≥ η (in degrees, longitude width taken at the latitude closest to
-the equator so cells never shrink below η) and each sensor is joined
-against its 3×3 cell neighborhood, then filtered by exact haversine —
-the standard spatial-band-join idiom for Catalyst.
+Two sensors are neighbors iff their haversine distance is below η. The
+graph has one node per sensor (at most ~10k at paper scale), so it is
+built on the driver by a latitude-band sweep: sensors are sorted by
+latitude and each is paired only with the sensors north of it within
+``meters_to_lat_degrees(η)``, then the candidates are filtered by exact
+haversine. Since R·|Δlat| never exceeds the great-circle distance, no
+pair closer than η lies outside the band, whatever the latitude and
+across the ±180° meridian.
 """
 from __future__ import annotations
 
+from typing import Sequence
+
+import numpy as np
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
-from repro.core.geo import haversine_col, meters_to_lat_degrees, meters_to_lon_degrees
+from repro.core.geo import haversine_np, meters_to_lat_degrees
 
-LOCATION_COLUMNS = ("sensor_id", "attribute", "lat", "lon")
+EDGE_SCHEMA = "src string, dst string, dist_m double"
+
+_BLOCK = 128  # sensors swept per numpy batch; bounds the candidate arrays
+
+
+def neighbor_pairs(
+    sensor_ids: Sequence[str],
+    lat: Sequence[float],
+    lon: Sequence[float],
+    eta_meters: float,
+) -> list[tuple[str, str, float]]:
+    """Every pair of sensors closer than η, as sorted ``(src, dst,
+    dist_m)`` with src < dst.
+
+    The paper treats co-located sensors with different attributes as
+    *different* sensors (§4 footnote 2), so a zero distance between them
+    is a valid edge. The threshold is strict: ``dist < η``.
+    """
+    lat = np.asarray(lat, dtype=float)
+    order = np.argsort(lat, kind="stable")
+    ids = [sensor_ids[k] for k in order]
+    lat, lon = lat[order], np.asarray(lon, dtype=float)[order]
+    # the widening keeps rounding of the band edge from dropping a pair;
+    # the exact filter below decides
+    band = meters_to_lat_degrees(eta_meters) * (1 + 1e-9)
+    last = np.searchsorted(lat, lat + band, side="right")  # exclusive
+    out = []
+    for lo in range(0, len(ids), _BLOCK):
+        rows = np.arange(lo, min(lo + _BLOCK, len(ids)))
+        counts = last[rows] - rows - 1
+        i = np.repeat(rows, counts)
+        j = i + 1 + np.arange(len(i)) - np.repeat(np.cumsum(counts) - counts, counts)
+        dist = haversine_np(lat[i], lon[i], lat[j], lon[j])
+        near = dist < eta_meters
+        for a, b, d in zip(i[near].tolist(), j[near].tolist(), dist[near].tolist()):
+            src, dst = sorted((ids[a], ids[b]))
+            out.append((src, dst, d))
+    return sorted(out)
 
 
 def neighbor_edges(locations: DataFrame, eta_meters: float) -> DataFrame:
-    """Undirected η-neighbor edges ``(src, dst, dist_m)`` with src < dst.
+    """:func:`neighbor_pairs` over a DataFrame.
 
-    Parameters
-    ----------
-    locations:
-        ``(sensor_id string, attribute string, lat double, lon double)``
-        — one row per sensor (the paper treats co-located sensors with
-        different attributes as *different* sensors, §4 footnote 2; a
-        zero distance between them is therefore a valid edge).
-    eta_meters:
-        Distance threshold η; strict ``dist < η``.
+    ``locations`` has ``(sensor_id, attribute, lat, lon)``, one row per
+    sensor. Returns the undirected η-neighbor edges ``(src, dst,
+    dist_m)`` with src < dst.
     """
-    # Cell sizes from the latitude band of the data: use the latitude
-    # nearest the equator so a lon-cell is never narrower than η there.
-    row = locations.agg(
-        F.min(F.abs("lat")).alias("min_abs_lat"), F.count("*").alias("n")
-    ).first()
-    if row is None or row["n"] == 0:
-        return locations.sparkSession.createDataFrame(
-            [], "src string, dst string, dist_m double"
-        )
-    lat_cell = meters_to_lat_degrees(eta_meters)
-    lon_cell = meters_to_lon_degrees(eta_meters, at_latitude=float(row["min_abs_lat"]))
-
-    cells = locations.select(
-        F.col("sensor_id"),
-        F.col("lat"),
-        F.col("lon"),
-        F.floor(F.col("lat") / F.lit(lat_cell)).alias("cx"),
-        F.floor(F.col("lon") / F.lit(lon_cell)).alias("cy"),
+    rows = locations.select("sensor_id", "lat", "lon").collect()
+    pairs = neighbor_pairs(
+        [r["sensor_id"] for r in rows],
+        [r["lat"] for r in rows],
+        [r["lon"] for r in rows],
+        eta_meters,
     )
-    # Explode left side into its 3×3 cell neighborhood; equi-join on the
-    # cell key so Catalyst plans a shuffle hash/sort-merge join, not a
-    # cartesian product.
-    offsets = [(dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)]
-    probe = cells.select(
-        F.col("sensor_id").alias("src"),
-        F.col("lat").alias("src_lat"),
-        F.col("lon").alias("src_lon"),
-        F.explode(
-            F.array(
-                *[
-                    F.struct(
-                        (F.col("cx") + F.lit(dx)).alias("cx"),
-                        (F.col("cy") + F.lit(dy)).alias("cy"),
-                    )
-                    for dx, dy in offsets
-                ]
-            )
-        ).alias("cell"),
-    ).select("src", "src_lat", "src_lon", F.col("cell.cx").alias("cx"), F.col("cell.cy").alias("cy"))
-
-    build = cells.select(
-        F.col("sensor_id").alias("dst"),
-        F.col("lat").alias("dst_lat"),
-        F.col("lon").alias("dst_lon"),
-        "cx",
-        "cy",
-    )
-    return (
-        probe.join(build, on=["cx", "cy"])
-        .where(F.col("src") < F.col("dst"))
-        .withColumn(
-            "dist_m",
-            haversine_col(
-                F.col("src_lat"), F.col("src_lon"), F.col("dst_lat"), F.col("dst_lon")
-            ),
-        )
-        .where(F.col("dist_m") < F.lit(float(eta_meters)))
-        .select("src", "dst", "dist_m")
-        .dropDuplicates(["src", "dst"])
-    )
+    return locations.sparkSession.createDataFrame(pairs, EDGE_SCHEMA)

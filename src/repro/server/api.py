@@ -61,7 +61,8 @@ class MiscelaApi:
     # ---- §3.2 upload ------------------------------------------------
     def upload(self, name: str, csv_dir: str | Path, chunk_lines: int = 10_000,
                interval_minutes: int = 60) -> dict:
-        """Upload a CSV bundle under ``name``; re-uploading overwrites."""
+        """Upload a CSV bundle under ``name``; re-uploading overwrites,
+        and CAPs cached for the old contents stop being served."""
         return upload_csv_bundle(
             self.spark, self.store, name, csv_dir,
             chunk_lines=chunk_lines, interval_minutes=interval_minutes,
@@ -97,33 +98,35 @@ class MiscelaApi:
         sensor sharing a CAP with it, with the shared attributes
         (paper §3.1: "sensors are highlighted if their measurements are
         correlated to measurements of the clicked sensor")."""
-        response = self.mine(dataset, params)
-        correlated: dict[str, set[str]] = {}
-        for cap in response.caps:
-            if sensor_id in cap.sensors:
-                for other in cap.sensors:
-                    if other != sensor_id:
-                        correlated.setdefault(other, set()).update(cap.attributes)
-        return {s: sorted(a) for s, a in sorted(correlated.items())}
+        return _correlated(self.mine(dataset, params).caps, sensor_id)
 
     # ---- Figure-3 payloads ------------------------------------------
     def map_payload(self, dataset: str, params: MiscelaParams,
                     clicked: str | None = None) -> dict:
         from repro.viz.payload import build_map_payload
 
-        readings, locations, _ = self.store.load(self.spark, dataset)
         caps = self.mine(dataset, params).caps
-        highlight = (
-            set(self.correlated_sensors(dataset, params, clicked)) | {clicked}
-            if clicked
-            else set()
-        )
+        highlight = set(_correlated(caps, clicked)) | {clicked} if clicked else set()
+        locations = self.store.read(self.spark, dataset, "locations")
         return build_map_payload(locations, caps, highlight)
 
     def timeseries_payload(self, dataset: str, sensor_ids: list[str],
                            t_min: int | None = None, t_max: int | None = None) -> dict:
         from repro.viz.payload import build_timeseries_payload
 
-        readings, _, doc = self.store.load(self.spark, dataset)
+        doc = self.store.doc(dataset)
+        readings = self.store.read(self.spark, dataset, "readings")
         return build_timeseries_payload(readings, sensor_ids, doc["meta"],
                                         t_min=t_min, t_max=t_max)
+
+
+def _correlated(caps: list[CAP], sensor_id: str) -> dict[str, list[str]]:
+    """Every sensor sharing a CAP with ``sensor_id`` → the sorted
+    attributes of those CAPs."""
+    correlated: dict[str, set[str]] = {}
+    for cap in caps:
+        if sensor_id in cap.sensors:
+            for other in cap.sensors:
+                if other != sensor_id:
+                    correlated.setdefault(other, set()).update(cap.attributes)
+    return {s: sorted(a) for s, a in sorted(correlated.items())}

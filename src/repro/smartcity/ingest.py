@@ -25,7 +25,7 @@ from repro.smartcity.schema import (
     READINGS_SCHEMA,
     timestamps_to_ticks,
 )
-from repro.store.datasets import DatasetStore
+from repro.store.datasets import DatasetStore, content_fingerprint
 
 CHUNK_LINES = 10_000
 
@@ -103,6 +103,7 @@ class ChunkedUploader:
                 "n_records": int(len(readings)),
                 "n_chunks": self.n_chunks_received,
             },
+            fingerprint=content_fingerprint(readings, locations, attributes),
         )
         return {"n_records": int(len(readings)), "n_chunks": self.n_chunks_received,
                 "start": start}

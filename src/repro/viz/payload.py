@@ -66,11 +66,13 @@ def build_timeseries_payload(
     if t_max is not None:
         df = df.where(F.col("t") <= int(t_max))
     series: dict[str, list] = {s: [] for s in sensor_ids}
-    for r in df.select("sensor_id", "t", "value").orderBy("sensor_id", "t").collect():
+    for r in df.select("sensor_id", "t", "value").collect():
         v = r["value"]
         series[r["sensor_id"]].append(
             {"t": int(r["t"]), "value": None if v is None else float(v)}
         )
+    for points in series.values():  # on the driver: a Spark sort costs jobs
+        points.sort(key=lambda p: p["t"])
     return {
         "start": meta.get("start"),
         "interval_minutes": meta.get("interval_minutes"),

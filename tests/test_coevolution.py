@@ -1,17 +1,16 @@
-"""Unit tests for pairwise co-evolution supports, pinned to DuckDB SQL
-via the oracle."""
+"""Unit tests for pairwise co-evolution supports: the driver-side set
+intersections, and their DataFrame wrapper pinned to DuckDB SQL via the
+oracle."""
 import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
-from repro.core.coevolution import coevolving_edges, pair_supports
+from repro.core.coevolution import coevolving_edges, pair_support_counts, pair_supports
 from repro.core.evolving import extract_evolving
 from repro.core.segmentation import smooth_readings
 from repro.core.spatial import neighbor_edges
 from repro.oracle import assert_equivalent
 from tests.helpers import scene_spark
 
-LOC_SCHEMA = "sensor_id string, attribute string, lat double, lon double"
 
 
 @pytest.fixture(scope="module")
@@ -94,3 +93,33 @@ class TestCoevolvingEdges:
         got = {(r["src"], r["dst"]) for r in coevolving_edges(ev, edges, psi).collect()}
         assert got == expected_pairs
 
+
+
+class TestPairSupportCounts:
+    """The set-intersection supports themselves, without Spark."""
+
+    EPOS = {"a": frozenset({1, 2, 3}), "b": frozenset({2, 3}), "c": frozenset({9})}
+    ENEG = {"a": frozenset({5}), "b": frozenset({1, 5}), "c": frozenset({1, 2})}
+
+    def test_empty(self):
+        assert pair_support_counts([], {}, {}) == []
+        assert pair_support_counts([], self.EPOS, self.ENEG, same_direction=True) == []
+
+    def test_sensor_that_never_evolves_has_zero_support(self):
+        assert pair_support_counts([("a", "ghost")], self.EPOS, self.ENEG) == [0]
+        assert pair_support_counts([("a", "ghost")], self.EPOS, self.ENEG, True) == [0]
+
+    def test_any_direction_counts_common_timestamps(self):
+        # a evolves at {1,2,3,5}, b at {1,2,3,5}, c at {1,2,9}
+        got = pair_support_counts([("a", "b"), ("a", "c"), ("b", "c")], self.EPOS, self.ENEG)
+        assert got == [4, 2, 2]
+
+    def test_same_direction_counts_matching_signs_only(self):
+        # a/b: up at {2,3}, down at {5}; a/c: nothing; b/c: down at {1}
+        got = pair_support_counts(
+            [("a", "b"), ("a", "c"), ("b", "c")], self.EPOS, self.ENEG, same_direction=True
+        )
+        assert got == [3, 0, 1]
+
+    def test_sensor_only_in_one_direction_map(self):
+        assert pair_support_counts([("p", "q")], {"p": frozenset({4})}, {"q": frozenset({4})}) == [1]

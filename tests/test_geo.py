@@ -1,13 +1,10 @@
-"""Unit tests for repro.core.geo: haversine correctness and the
-numpy-vs-Column agreement that keeps the spatial join honest."""
+"""Unit tests for repro.core.geo: haversine correctness and the degree
+conversions."""
 import numpy as np
-import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
 from repro.core.geo import (
     EARTH_RADIUS_M,
-    haversine_col,
     haversine_np,
     meters_to_lat_degrees,
     meters_to_lon_degrees,
@@ -47,25 +44,6 @@ class TestHaversineNumpy:
         assert d.shape == (3,) and np.all(d > 0)
 
 
-class TestHaversineColumnAgreesWithNumpy:
-    def test_random_pairs(self, spark):
-        g = np.random.default_rng(0)
-        pdf = pd.DataFrame(
-            {
-                "lat1": g.uniform(-60, 60, 50), "lon1": g.uniform(-179, 179, 50),
-                "lat2": g.uniform(-60, 60, 50), "lon2": g.uniform(-179, 179, 50),
-            }
-        )
-        got = (
-            spark.createDataFrame(pdf)
-            .select(haversine_col(F.col("lat1"), F.col("lon1"), F.col("lat2"), F.col("lon2")).alias("d"))
-            .toPandas()["d"].to_numpy()
-        )
-        want = haversine_np(pdf["lat1"].to_numpy(), pdf["lon1"].to_numpy(),
-                            pdf["lat2"].to_numpy(), pdf["lon2"].to_numpy())
-        np.testing.assert_allclose(got, want, rtol=1e-9)
-
-
 class TestDegreeConversions:
     def test_lat_roundtrip(self):
         deg = meters_to_lat_degrees(111_195.0)  # ~1 degree
@@ -79,6 +57,13 @@ class TestDegreeConversions:
 
     def test_near_pole_does_not_divide_by_zero(self):
         assert np.isfinite(meters_to_lon_degrees(1000, 90.0))
+
+    def test_lat_degrees_bound_distance_at_any_latitude(self):
+        # the neighbor sweep relies on R·|Δlat| ≤ great-circle distance
+        g = np.random.default_rng(0)
+        lat1, lat2 = g.uniform(-89, 89, 500), g.uniform(-89, 89, 500)
+        d = haversine_np(lat1, g.uniform(-180, 180, 500), lat2, g.uniform(-180, 180, 500))
+        assert np.all(np.abs(lat1 - lat2) <= meters_to_lat_degrees(d) * (1 + 1e-12))
 
     def test_conversion_consistent_with_haversine(self):
         # moving meters_to_lat_degrees(d) north really moves ~d meters

@@ -1,10 +1,10 @@
-"""Unit tests for step 3a (η-neighbor grid-cell join) against the
-O(n²) haversine reference."""
+"""Unit tests for step 3a (the η-neighbor latitude-band sweep and its
+DataFrame wrapper) against the O(n²) haversine reference."""
 import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.spatial import neighbor_edges
+from repro.core.spatial import neighbor_edges, neighbor_pairs
 from repro.core.geo import haversine_np
 from tests.helpers import ref_neighbor_edges, scene_locations_pdf
 
@@ -111,3 +111,76 @@ class TestNeighborEdges:
         out = neighbor_edges(spark.createDataFrame(pdf, LOC_SCHEMA), 2000.0).toPandas()
         assert (out["src"] < out["dst"]).all()
         assert not out.duplicated(["src", "dst"]).any()
+
+    def test_data_spanning_latitudes_keeps_high_latitude_pairs(self, spark):
+        # a grid sized at the equator point's latitude made 60°N cells
+        # narrower than η, so this 30.1 km pair fell between cells
+        pdf = pd.DataFrame(
+            {"sensor_id": ["e", "n1", "n2"], "attribute": ["a", "b", "c"],
+             "lat": [0.0, 60.0, 60.0], "lon": [50.0, 0.539, 1.081]}
+        )
+        got = neighbor_edges(spark.createDataFrame(pdf, LOC_SCHEMA), 60_000.0).collect()
+        assert [(r["src"], r["dst"]) for r in got] == [("n1", "n2")]
+        assert got[0]["dist_m"] == pytest.approx(30_100, abs=100)
+
+    def test_pairs_across_the_antimeridian(self, spark):
+        pdf = pd.DataFrame(
+            {"sensor_id": ["w", "x"], "attribute": ["a", "b"],
+             "lat": [10.0, 10.0], "lon": [179.9, -179.9]}
+        )
+        got = neighbor_edges(spark.createDataFrame(pdf, LOC_SCHEMA), 60_000.0).collect()
+        assert [(r["src"], r["dst"]) for r in got] == [("w", "x")]
+        assert got[0]["dist_m"] == pytest.approx(21_900, abs=100)
+
+    def test_random_points_from_equator_to_80_north(self, spark):
+        g = np.random.default_rng(7)
+        n = 150
+        pdf = pd.DataFrame(
+            {"sensor_id": [f"s{i:03d}" for i in range(n)],
+             "attribute": g.choice(["temp", "traffic"], n),
+             "lat": g.uniform(0.0, 80.0, n), "lon": g.uniform(-2.0, 2.0, n)}
+        )
+        got = _edges_set(neighbor_edges(spark.createDataFrame(pdf, LOC_SCHEMA), 300_000.0))
+        want = ref_neighbor_edges(pdf, 300_000.0)
+        assert len(want) > 100 and got == want
+
+
+def _pair_set(pairs):
+    return {(a, b) for a, b, _ in pairs}
+
+
+class TestNeighborPairs:
+    """The driver-side sweep itself, without Spark."""
+
+    def test_empty(self):
+        assert neighbor_pairs([], [], [], 500.0) == []
+
+    def test_single_sensor(self):
+        assert neighbor_pairs(["only"], [1.0], [2.0], 10_000.0) == []
+
+    def test_strictly_less_than_eta(self):
+        d = float(haversine_np(np.array(0.0), np.array(0.0), np.array(0.01), np.array(0.0)))
+        assert neighbor_pairs(["p", "q"], [0.0, 0.01], [0.0, 0.0], d) == []
+        assert _pair_set(neighbor_pairs(["p", "q"], [0.0, 0.01], [0.0, 0.0], d + 1.0)) == {("p", "q")}
+
+    def test_output_sorted_with_src_before_dst(self):
+        # ids in reverse latitude order: the sweep still emits src < dst
+        pairs = neighbor_pairs(["c", "b", "a"], [0.002, 0.001, 0.0], [0.0, 0.0, 0.0], 1_000.0)
+        assert [(a, b) for a, b, _ in pairs] == [("a", "b"), ("a", "c"), ("b", "c")]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_bruteforce_at_any_latitude_and_longitude(self, seed):
+        g = np.random.default_rng(seed)
+        n = 200
+        pdf = pd.DataFrame(
+            {"sensor_id": [f"s{i:03d}" for i in range(n)],
+             "lat": g.uniform(-85.0, 85.0, n), "lon": g.uniform(-180.0, 180.0, n)}
+        )
+        got = neighbor_pairs(list(pdf["sensor_id"]), pdf["lat"], pdf["lon"], 2_000_000.0)
+        assert _pair_set(got) == ref_neighbor_edges(pdf, 2_000_000.0)
+        dist = {(a, b): d for a, b, d in got}
+        by_id = pdf.set_index("sensor_id")
+        for (a, b), d in list(dist.items())[:20]:
+            want = haversine_np(by_id.loc[a, "lat"], by_id.loc[a, "lon"],
+                                by_id.loc[b, "lat"], by_id.loc[b, "lon"])
+            assert d == pytest.approx(float(want), rel=1e-12)

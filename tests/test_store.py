@@ -7,6 +7,7 @@ import pytest
 
 from repro.core.types import CAP, MiscelaParams
 from repro.store import CapCache, DatasetStore, DocumentStore
+from repro.store.datasets import content_fingerprint
 
 
 class TestDocumentStore:
@@ -87,6 +88,53 @@ class TestDatasetStore:
         with pytest.raises(KeyError, match="not uploaded"):
             DatasetStore(tmp_path).load(spark, "ghost")
 
+    def test_read_one_relation_with_its_saved_schema(self, spark, tmp_path):
+        store = DatasetStore(tmp_path)
+        readings = spark.range(3).selectExpr("'a' sensor_id", "id t", "1.0 value")
+        locations = spark.range(1).selectExpr("'a' sensor_id", "'t' attribute", "0.0 lat", "0.0 lon")
+        store.save("x", readings, locations, ["t"])
+        got = store.read(spark, "x", "readings")
+        assert [(f.name, f.dataType) for f in got.schema] == [
+            (f.name, f.dataType) for f in readings.schema
+        ]
+        assert got.count() == 3
+        with pytest.raises(KeyError):
+            store.read(spark, "ghost", "readings")
+
+    def test_doc_without_saved_schemas_still_loads(self, spark, tmp_path):
+        store = DatasetStore(tmp_path)
+        readings = spark.range(2).selectExpr("'a' sensor_id", "id t", "1.0 value")
+        locations = spark.range(1).selectExpr("'a' sensor_id", "'t' attribute", "0.0 lat", "0.0 lon")
+        store.save("x", readings, locations, ["t"])
+        doc = store.doc("x")
+        del doc["schemas"]
+        store.docs.insert("datasets", doc, doc_id="x")
+        r, l, _ = store.load(spark, "x")
+        assert r.count() == 2 and l.columns == ["sensor_id", "attribute", "lat", "lon"]
+
+
+class TestContentFingerprint:
+    READINGS = pd.DataFrame({"sensor_id": ["a", "a"], "t": [0, 1], "value": [1.0, float("nan")]})
+    LOCATIONS = pd.DataFrame({"sensor_id": ["a"], "attribute": ["x"], "lat": [1.0], "lon": [2.0]})
+
+    def test_equal_contents_equal_fingerprints(self):
+        assert content_fingerprint(self.READINGS, self.LOCATIONS, ["x"]) == content_fingerprint(
+            self.READINGS.copy(), self.LOCATIONS.copy(), ["x"]
+        )
+
+    @pytest.mark.parametrize("change", ["value", "location", "attributes"])
+    def test_any_change_changes_the_fingerprint(self, change):
+        readings, locations, attributes = self.READINGS.copy(), self.LOCATIONS.copy(), ["x"]
+        if change == "value":
+            readings.loc[1, "value"] = 2.0
+        elif change == "location":
+            locations.loc[0, "lat"] = 1.5
+        else:
+            attributes = ["x", "y"]
+        assert content_fingerprint(readings, locations, attributes) != content_fingerprint(
+            self.READINGS, self.LOCATIONS, ["x"]
+        )
+
 
 CAPS = [CAP(("a", "b"), ("x", "y"), 5, "a"), CAP(("b", "c"), ("y", "z"), 3, "a")]
 
@@ -120,6 +168,19 @@ class TestCapCache:
         p = MiscelaParams()
         cache.put("d", p, [])
         assert cache.get("d", p) == []
+
+    def test_changed_dataset_misses_until_mined_again(self, tmp_path):
+        docs = DocumentStore(tmp_path)
+        cache = CapCache(docs)
+        p = MiscelaParams()
+        docs.insert("datasets", {"name": "d", "fingerprint": "v1"}, doc_id="d")
+        cache.put("d", p, CAPS)
+        assert cache.get("d", p) is not None
+        docs.insert("datasets", {"name": "d", "fingerprint": "v2"}, doc_id="d")
+        assert cache.get("d", p) is None
+        cache.put("d", p, CAPS[:1])
+        assert cache.get("d", p) == CAPS[:1]
+        assert docs.count("cap_results") == 1  # the stale entry was replaced
 
     def test_invalidate(self, tmp_path):
         cache = CapCache(DocumentStore(tmp_path))
